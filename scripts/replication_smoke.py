@@ -16,6 +16,9 @@ properties the subsystem promises:
   (``repro promote``), the same router connection resumes both writes and
   reads with zero wrong answers, and a fresh replica of the promoted
   primary converges (the rejoin path).
+- **the router refuses subscriptions**: a ``subscribe`` sent through the
+  router fails with ``subscription_error`` and leaves the primary with no
+  subscription; and the router process exits 0 on SIGINT.
 
 Run from the repository root::
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -77,7 +81,7 @@ def spawn(*args):
 
 
 def main():
-    from repro.errors import ReadOnlyError
+    from repro.errors import ReadOnlyError, SubscriptionError
     from repro.service.client import ServiceClient
 
     primary_proc, primary_port = spawn("serve", "--port", "0")
@@ -91,7 +95,7 @@ def main():
         )
         replica_procs.append(proc)
         replica_ports.append(port)
-    _router, router_port = spawn(
+    router_proc, router_port = spawn(
         "route", "--port", "0", "--primary", address,
         *(arg for port in replica_ports for arg in ("--replica", f"127.0.0.1:{port}")),
     )
@@ -109,6 +113,20 @@ def main():
                 fail(f"read after write {i} is missing edge n{i}->n{i + 1}")
         if ("n0", f"n{WRITES}") not in client.datalog(program)["tc"]:
             fail("transitive closure over the full chain is missing")
+
+    # Push frames cannot cross the router: a routed subscribe is refused
+    # with the typed error, and no subscription is left on the primary.
+    with ServiceClient(port=router_port, timeout=10) as client:
+        try:
+            client.subscribe(program)
+        except SubscriptionError:
+            pass
+        else:
+            fail("router accepted a subscribe")
+    with ServiceClient(port=primary_port, timeout=10) as reader:
+        active = reader.stats()["subs"]["active_subscriptions"]
+    if active != 0:
+        fail(f"routed subscribe left {active} subscription(s) on the primary")
 
     # Writes sent straight to a replica must be rejected with the typed error.
     with ServiceClient(port=replica_ports[0], timeout=10) as reader:
@@ -195,6 +213,15 @@ def main():
                 fail(f"rejoined replica :{rejoin_port} stuck at {status}")
             time.sleep(0.1)
 
+    # The router shuts down cleanly on SIGINT, like `repro serve`.
+    router_proc.send_signal(signal.SIGINT)
+    try:
+        code = router_proc.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        fail("router did not exit on SIGINT")
+    if code != 0:
+        fail(f"router exited {code} on SIGINT")
+
     for proc in PROCS:
         if proc.poll() is None:
             proc.terminate()
@@ -207,7 +234,8 @@ def main():
         f"replication_smoke: OK ({WRITES} read-your-writes round trips, "
         f"2 replicas converged, replica rejected the write, "
         f"{FAILOVER_WRITES} writes+reads across promote/failover, "
-        f"rejoined replica converged under epoch {promoted_epoch})"
+        f"rejoined replica converged under epoch {promoted_epoch}, "
+        f"routed subscribe refused, router exited 0 on SIGINT)"
     )
 
 

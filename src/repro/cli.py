@@ -155,8 +155,6 @@ def cmd_export(args):
 
 
 def cmd_serve(args):
-    import asyncio
-
     from repro.graphs.bridge import graph_from_database
     from repro.service.server import ServiceConfig, ServiceServer
 
@@ -196,15 +194,25 @@ def cmd_serve(args):
     if args.data and store.version == 0:
         store.load_graph(graph_from_database(_load_facts(args.data)))
 
-    async def _run():
-        await server.start()
+    def banner():
         durable = f", data dir {args.data_dir} (fsync={args.fsync})" if args.data_dir else ""
         role = f", replica of {args.replica_of}" if args.replica_of else ""
-        print(f"repro service listening on {server.host}:{server.port} "
-              f"(store version {store.version}, engine {args.engine}"
-              f"{durable}{role})", flush=True)
+        return (f"repro service listening on {server.host}:{server.port} "
+                f"(store version {store.version}, engine {args.engine}"
+                f"{durable}{role})")
+
+    return _run_server(server, banner, args.metrics_host)
+
+
+def _run_server(server, banner, metrics_host):
+    """Run a ServiceServer in the foreground until SIGINT; exits 0."""
+    import asyncio
+
+    async def _run():
+        await server.start()
+        print(banner(), flush=True)
         if server.metrics_port is not None:
-            print(f"telemetry on http://{args.metrics_host}:{server.metrics_port}"
+            print(f"telemetry on http://{metrics_host}:{server.metrics_port}"
                   f"/metrics (and /healthz)", flush=True)
         await server.serve_forever()
 
@@ -218,8 +226,6 @@ def cmd_serve(args):
 
 
 def cmd_route(args):
-    import time as _time
-
     from repro.replication.router import RouterServer
 
     router = RouterServer(
@@ -233,21 +239,14 @@ def cmd_route(args):
         trace_sample=args.trace_sample,
         metrics_host=args.metrics_host,
         metrics_port=args.metrics_port,
-    ).start()
+    )
     replicas = ", ".join(args.replica) if args.replica else "(none)"
-    print(f"repro router listening on {router.host}:{router.port} "
-          f"(primary {args.primary}, replicas {replicas})", flush=True)
-    if router.metrics_port is not None:
-        print(f"telemetry on http://{args.metrics_host}:{router.metrics_port}"
-              f"/metrics (and /healthz)", flush=True)
-    try:
-        while True:
-            _time.sleep(3600)
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        router.stop()
-    return 0
+
+    def banner():
+        return (f"repro router listening on {router.host}:{router.port} "
+                f"(primary {args.primary}, replicas {replicas})")
+
+    return _run_server(router.server, banner, args.metrics_host)
 
 
 def cmd_promote(args):

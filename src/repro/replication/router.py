@@ -3,19 +3,28 @@
 Two entry points over the same routing core:
 
 - :class:`RoutingClient` — a drop-in :class:`~repro.service.client.
-  ServiceClient` replacement for applications.  Reads round-robin across
-  healthy replicas (with the primary as the fallback of last resort);
-  writes go to the primary and their committed version becomes the
-  client's *min-version token*: every later read carries it, so a replica
-  serving the read either proves it has caught up (waiting, bounded,
-  server-side) or answers ``replica_stale`` and the router moves on —
-  read-your-writes without pinning every read to the primary.
-- :class:`RouterServer` — ``repro route``: a JSON-lines TCP front speaking
-  the same wire protocol as the service, so any existing client gets
-  routed reads by pointing at the router instead of a server.  Each
-  connection gets its own :class:`RoutingClient`, which makes the
-  min-version token per-connection — exactly the session consistency the
-  token models.
+  ServiceClient` replacement for applications; the two share their op
+  methods (:class:`~repro.service.client.ServiceOps`).  Reads round-robin
+  across healthy replicas (with the primary as the fallback of last
+  resort); writes go to the primary and their committed version becomes
+  the client's *min-version token*: every later read carries it, so a
+  replica serving the read either proves it has caught up (waiting,
+  bounded, server-side) or answers ``replica_stale`` and the router moves
+  on — read-your-writes without pinning every read to the primary.
+- :class:`RouterServer` — ``repro route``.  There is one server stack:
+  ``repro route`` runs the same asyncio connection loop as ``repro serve``
+  (:class:`~repro.service.server.ServiceServer`), with the same request
+  decoding, limits, encoding and error responses; only the object being
+  served differs.  Each connection gets its own :class:`RoutingClient`,
+  which makes the min-version token per-connection — exactly the session
+  consistency the token models.  At most 8 routed calls are in flight (the
+  loop's default worker pool), one at a time per connection.
+  ``elapsed_ms`` on a routed response is the router's own time.
+
+The router refuses ``subscribe``/``unsubscribe`` with
+``subscription_error``: push frames cannot cross it, so subscribe on a node
+directly.  Backend errors are relayed with the backend's ``code``, ``kind``
+and ``message`` unchanged.
 
 Health ejection: a backend whose connection fails (or whose client
 poisons itself mid-call) is ejected for ``eject_seconds`` and quietly
@@ -40,24 +49,19 @@ lives on the abandoned line — at-most-once per epoch, not globally.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
-import socketserver
 import threading
 import time
 
 from repro import obs
 from repro.errors import ProtocolError, ReadOnlyError, ReplicaStale, ReproError, ServiceError
+from repro.errors import SubscriptionError
 from repro.obs import context as trace_context
 from repro.obs import logs
-from repro.obs.metrics import (
-    HistogramData,
-    HistogramMergeError,
-    MetricFamily,
-    Registry,
-)
-from repro.service import protocol
-from repro.service.client import ServiceClient
+from repro.obs.metrics import HistogramData, HistogramMergeError, MetricFamily
+from repro.service.client import ServiceClient, ServiceOps
+from repro.service.metrics import MetricsRegistry
+from repro.service.server import ServiceConfig, ServiceServer
 
 logger = logging.getLogger(__name__)
 
@@ -141,12 +145,14 @@ class _Backend:
         self.ejected_until = 0.0
 
 
-class RoutingClient:
+class RoutingClient(ServiceOps):
     """Routes one logical client's requests across a replicated cluster.
 
-    Not thread-safe (same contract as :class:`ServiceClient`): one routing
-    client per thread/connection, which also scopes the read-your-writes
-    token correctly.
+    Its op methods (``graphlog`` … ``ping``) come from
+    :class:`~repro.service.client.ServiceOps`, shared with
+    :class:`ServiceClient`.  Not thread-safe (same contract as
+    :class:`ServiceClient`): one routing client per thread/connection,
+    which also scopes the read-your-writes token correctly.
     """
 
     def __init__(
@@ -257,6 +263,14 @@ class RoutingClient:
         return {name: getattr(self, name) for name in ROUTING_COUNTERS}
 
     def _route(self, op, payload):
+        if op in ("subscribe", "unsubscribe"):
+            # Push frames would arrive on the router's backend connection,
+            # which has no way to pass them on: refuse rather than hand out
+            # a snapshot that never updates.
+            raise SubscriptionError(
+                f"op {op!r} is not relayed by the router; subscribe on a node "
+                "(the primary or a replica) directly"
+            )
         # One clock reading per routed call: every health judgment and
         # ejection stamp inside this call sees the same instant.
         now = time.monotonic()
@@ -436,35 +450,7 @@ class RoutingClient:
             raise
         return response
 
-    # ------------------------------------------------- ServiceClient facade
-
-    def graphlog(self, query, predicate=None, method=None, **limits):
-        response = self.call(
-            "graphlog", query=query, predicate=predicate, method=method, **limits
-        )
-        return _relations(response)
-
-    def datalog(self, program, predicate=None, method=None, **limits):
-        response = self.call(
-            "datalog", query=program, predicate=predicate, method=method, **limits
-        )
-        return _relations(response)
-
-    def rpq(self, regex, source=None, **limits):
-        response = self.call("rpq", query=regex, source=source, **limits)
-        return _relations(response)["answers"]
-
-    def update(self, nodes=None, edges=None):
-        return self.call("update", nodes=nodes, edges=edges)["version"]
-
-    def checkpoint(self):
-        return self.call("checkpoint")["result"]
-
-    def stats(self):
-        return self.call("stats")["result"]
-
-    def ping(self):
-        return self.call("ping")["result"]["pong"]
+    # ------------------------------------------------------------ stats
 
     def router_stats(self):
         """Routing-layer statistics (not a wire op)."""
@@ -479,13 +465,7 @@ class RoutingClient:
                 }
                 for b in self.replicas
             ],
-            "reads_routed": self.reads_routed,
-            "writes_routed": self.writes_routed,
-            "stale_redirects": self.stale_redirects,
-            "ejections": self.ejections,
-            "primary_fallbacks": self.primary_fallbacks,
-            "failovers": self.failovers,
-            "token_resets": self.token_resets,
+            **self.counters(),
             "min_version": self._min_version,
         }
 
@@ -495,12 +475,6 @@ class RoutingClient:
         self.primary.drop()
         for backend in self.replicas:
             backend.drop()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *_exc):
-        self.close()
 
 
 class _BackendDown(Exception):
@@ -512,24 +486,37 @@ class _BackendDown(Exception):
         self.cause = cause
 
 
-def _relations(response):
-    return {
-        name: {tuple(row) for row in rows}
-        for name, rows in response["result"]["relations"].items()
-    }
-
-
 def _ms(seconds):
     return None if seconds is None else round(seconds * 1000.0, 3)
 
 
-class RouterServer:
-    """A standalone JSON-lines TCP router (``repro route``).
+class _Session:
+    """One router connection's :class:`RoutingClient`, plus the lock that
+    runs its calls one at a time: a call a router-side ``timeout`` gave up
+    on keeps running on its worker, and the connection's next request must
+    wait for it (the routing client is not thread-safe)."""
 
-    Accepts ordinary service-protocol connections and forwards each request
-    through a per-connection :class:`RoutingClient`.  Response ``id``s are
-    rewritten to the requesting client's ids (backends see the router's own
-    sequence numbers).
+    __slots__ = ("routing", "lock", "closed")
+
+    def __init__(self, routing):
+        self.routing = routing
+        self.lock = threading.Lock()
+        self.closed = False
+
+
+class RouterServer:
+    """The JSON-lines TCP router (``repro route``).
+
+    Served by the same asyncio connection loop as ``repro serve``
+    (:class:`~repro.service.server.ServiceServer`): this object is what the
+    loop serves in place of a :class:`~repro.service.server.QueryService`.
+    Each connection gets its own :class:`RoutingClient`, opened on its first
+    request and closed, with its counters folded into the router's totals,
+    when the connection closes.  Requests run on the loop's worker pool
+    (the ``serve`` default of 8 threads bounds the calls in flight), one at
+    a time per connection.  ``elapsed_ms`` on a routed response is the
+    router's own time; ``version``, ``cache`` and ``trace_id`` are the
+    backend's.
     """
 
     def __init__(
@@ -548,13 +535,9 @@ class RouterServer:
     ):
         self.primary = primary
         self.replicas = list(replicas)
-        self.host = host
-        self.port = port
         self.timeout = timeout
         self.retries = retries
         self.eject_seconds = eject_seconds
-        self._server = None
-        self._thread = None
         self.connections = 0
         self.failovers = 0
         # Failover discoveries are shared across connections: the first
@@ -573,18 +556,35 @@ class RouterServer:
         #: whole panel for the full routing timeout.
         self.fanout_timeout = min(timeout, 5.0)
         self._started_monotonic = time.monotonic()
-        self._clients_lock = threading.Lock()
-        self._live_clients = set()
+        self._sessions_lock = threading.Lock()
+        self._sessions = {}
         self._counter_totals = {name: 0 for name in ROUTING_COUNTERS}
-        self.metrics_host = metrics_host
-        self.metrics_port = metrics_port
-        self._telemetry = None
-        self.exposition = Registry()
-        self.exposition.collector(self._cluster_families)
+        self.config = ServiceConfig(
+            host=host,
+            port=port,
+            timeout=timeout,
+            metrics_host=metrics_host,
+            metrics_port=metrics_port,
+        )
+        self.metrics = MetricsRegistry()
+        self.metrics.exposition.collector(self._cluster_families)
+        self.server = ServiceServer(service=self)
+
+    @property
+    def host(self):
+        return self.server.host
+
+    @property
+    def port(self):
+        return self.server.port
+
+    @property
+    def metrics_port(self):
+        """The bound telemetry port once started (None when not configured)."""
+        return self.server.metrics_port
 
     def routing_client(self):
-        with self._topology_lock:
-            primary, replicas = self.primary, list(self.replicas)
+        primary, replicas = self._topology()
         return RoutingClient(
             primary,
             replicas,
@@ -597,26 +597,14 @@ class RouterServer:
             node_id=self.node_id,
         )
 
-    def _track(self, routing):
-        with self._clients_lock:
-            self._live_clients.add(routing)
-
-    def _untrack(self, routing):
-        """Fold a closing connection's routing counters into the totals so
-        ``cluster_stats`` survives connection churn."""
-        with self._clients_lock:
-            self._live_clients.discard(routing)
-            for name, value in routing.counters().items():
-                self._counter_totals[name] += value
-
     def router_totals(self):
         """Cross-connection routing counters: closed-connection totals plus
         the live connections' current values (reads of plain ints — no
-        coordination with the owning connection threads needed)."""
-        with self._clients_lock:
+        coordination with the worker threads running their calls)."""
+        with self._sessions_lock:
             totals = dict(self._counter_totals)
-            for routing in self._live_clients:
-                for name, value in routing.counters().items():
+            for session in self._sessions.values():
+                for name, value in session.routing.counters().items():
                     totals[name] += value
         return totals
 
@@ -634,53 +622,8 @@ class RouterServer:
     # -------------------------------------------------------------- serving
 
     def start(self):
-        outer = self
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self):
-                outer.connections += 1
-                with outer.routing_client() as routing:
-                    outer._track(routing)
-                    try:
-                        while True:
-                            try:
-                                line = self.rfile.readline(protocol.MAX_REQUEST_BYTES)
-                            except OSError:
-                                return
-                            if not line:
-                                return
-                            if not line.strip():
-                                continue
-                            response = outer._route_line(routing, line)
-                            try:
-                                self.wfile.write(protocol.encode(response))
-                            except OSError:
-                                return
-                    finally:
-                        outer._untrack(routing)
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = Server((self.host, self.port), Handler)
-        self.host, self.port = self._server.server_address[:2]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="repro-router", daemon=True
-        )
-        self._thread.start()
-        if self.metrics_port is not None:
-            from repro.obs.export import TelemetryHTTPServer
-
-            self._telemetry = TelemetryHTTPServer(
-                render_metrics=self.exposition.render,
-                health=self.health,
-                host=self.metrics_host,
-                port=self.metrics_port,
-            ).start()
-            # The endpoint resolves port 0 to the bound ephemeral port;
-            # reflect it so embedders and the CLI banner can name it.
-            self.metrics_port = self._telemetry.port
+        """Serve on a background event-loop thread; returns self."""
+        self.server.start_background()
         logger.info(
             "router listening on %s:%d (primary %s, %d replica(s))",
             self.host,
@@ -690,51 +633,86 @@ class RouterServer:
         )
         return self
 
-    def _route_line(self, routing, line):
-        request_id = None
+    def stop(self):
+        self.server.stop()
+
+    def execute(self, message, sink):
+        """Answer one decoded request (on a worker thread of the loop).
+
+        ``trace_get`` and ``cluster_stats`` are answered by the router
+        itself: it owns the topology, so it can fan out and merge instead
+        of forwarding to one node that only knows its own slice.  Every
+        other op goes through the connection's :class:`RoutingClient`.
+        """
+        op = message["op"]
+        payload = {k: v for k, v in message.items() if k not in ("id", "op")}
+        started = time.perf_counter()
+        self.metrics.request_started()
         try:
-            try:
-                message = json.loads(line)
-            except ValueError as exc:
-                raise ProtocolError(f"request is not valid JSON: {exc}") from exc
-            if not isinstance(message, dict):
-                raise ProtocolError("request must be a JSON object")
-            request_id = message.get("id")
-            op = message.get("op")
-            if op not in protocol.OPS:
-                raise ProtocolError(
-                    f"unknown op {op!r}; expected one of {', '.join(protocol.OPS)}"
-                )
-            payload = {k: v for k, v in message.items() if k not in ("id", "op")}
             if op == "trace_get":
-                # Cluster-plane ops are answered by the router itself: it
-                # owns the topology, so it can fan out and merge instead of
-                # forwarding to one node that only knows its own slice.
-                started = time.monotonic()
-                result = self._trace_get(payload)
-                response = protocol.ok_response(
-                    None,
-                    result,
-                    elapsed_ms=(time.monotonic() - started) * 1000.0,
-                )
-            elif op == "cluster_stats":
-                started = time.monotonic()
-                result = self.cluster_stats()
-                response = protocol.ok_response(
-                    None,
-                    result,
-                    elapsed_ms=(time.monotonic() - started) * 1000.0,
-                )
-            else:
-                response = routing.call(op, **payload)
-        except ServiceError as exc:
-            return protocol.error_response(request_id, exc)
-        except Exception as exc:  # noqa: BLE001 — the router must not die mid-connection
-            logger.exception("router failed to route a request")
-            return protocol.error_response(request_id, ServiceError(str(exc)))
-        routed = dict(response)
-        routed["id"] = request_id
-        return routed
+                return {"result": self._trace_get(payload)}
+            if op == "cluster_stats":
+                return {"result": self.cluster_stats()}
+            session = self._session(sink)
+            with session.lock:
+                if session.closed:
+                    raise ServiceError("connection closed")
+                return session.routing.call(op, **payload)
+        finally:
+            self.metrics.request_completed(op, time.perf_counter() - started)
+
+    def _session(self, sink):
+        with self._sessions_lock:
+            session = self._sessions.get(sink)
+            if session is None:
+                if sink.closed:
+                    raise ServiceError("connection closed")
+                session = self._sessions[sink] = _Session(self.routing_client())
+                self.connections += 1
+        return session
+
+    def drain(self, sink):
+        """Push frames for one connection: none, since subscriptions are
+        refused at the router."""
+        return [], False
+
+    def drop_sink(self, sink):
+        """A connection closed: close its :class:`RoutingClient` and fold its
+        counters into the totals, so ``cluster_stats`` survives connection
+        churn.  A call still running holds the session lock; it is waited
+        for on a side thread so the event loop never blocks."""
+        with self._sessions_lock:
+            session = self._sessions.get(sink)
+        if session is None:
+            return
+        if session.lock.acquire(blocking=False):
+            try:
+                self._end_session(sink, session)
+            finally:
+                session.lock.release()
+        else:
+            threading.Thread(
+                target=self._end_session_locked, args=(sink, session), daemon=True
+            ).start()
+
+    def _end_session_locked(self, sink, session):
+        with session.lock:
+            self._end_session(sink, session)
+
+    def _end_session(self, sink, session):
+        session.closed = True
+        session.routing.close()
+        with self._sessions_lock:
+            self._sessions.pop(sink, None)
+            for name, value in session.routing.counters().items():
+                self._counter_totals[name] += value
+
+    def close(self):
+        """Close every connection's routing client (idempotent)."""
+        with self._sessions_lock:
+            sinks = list(self._sessions)
+        for sink in sinks:
+            self.drop_sink(sink)
 
     # ------------------------------------------------------- cluster plane
 
@@ -752,14 +730,8 @@ class RouterServer:
     def _node_call(self, address, op, **payload):
         """One short-lived, bounded-timeout RPC to a single backend."""
         host, port = parse_address(address)
-        client = ServiceClient(host=host, port=port, timeout=self.fanout_timeout)
-        try:
+        with ServiceClient(host=host, port=port, timeout=self.fanout_timeout) as client:
             return client.call(op, **payload)
-        finally:
-            try:
-                client.close()
-            except OSError:  # pragma: no cover - best-effort close
-                pass
 
     def _trace_get(self, payload):
         """Assemble one distributed trace: the router's own ring plus a
@@ -934,6 +906,11 @@ class RouterServer:
 
     # ----------------------------------------------------------- telemetry
 
+    def prometheus_text(self):
+        """The ``/metrics`` document: the serving loop's own request metrics
+        plus the routing counters and the cluster fan-out."""
+        return self.metrics.render_prometheus()
+
     def health(self):
         """The router's ``/healthz`` document (the router itself is healthy
         whenever it is serving; backend health lives in ``cluster_stats``)."""
@@ -1020,15 +997,3 @@ class RouterServer:
                 fam.add_histogram(hist, {"op": op})
             families.append(fam)
         return families
-
-    def stop(self):
-        if self._telemetry is not None:
-            self._telemetry.stop()
-            self._telemetry = None
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None

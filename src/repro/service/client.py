@@ -53,7 +53,80 @@ class _Retryable(Exception):
         self.error = error
 
 
-class ServiceClient:
+class ServiceOps:
+    """The request/response op methods over ``self.call(op, **payload)``,
+    shared by :class:`ServiceClient` and
+    :class:`~repro.replication.router.RoutingClient`."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc):
+        self.close()
+
+    def graphlog(self, query, predicate=None, method=None, **limits):
+        """Evaluate a GraphLog DSL query; returns ``{predicate: set of rows}``."""
+        response = self.call(
+            "graphlog", query=query, predicate=predicate, method=method, **limits
+        )
+        return _relations(response)
+
+    def datalog(self, program, predicate=None, method=None, **limits):
+        """Evaluate a Datalog program; returns ``{predicate: set of rows}``."""
+        response = self.call(
+            "datalog", query=program, predicate=predicate, method=method, **limits
+        )
+        return _relations(response)
+
+    def rpq(self, regex, source=None, **limits):
+        """Evaluate a regular path query; returns a set of answer tuples."""
+        response = self.call("rpq", query=regex, source=source, **limits)
+        return _relations(response)["answers"]
+
+    def update(self, nodes=None, edges=None, remove_nodes=None, remove_edges=None):
+        """Commit node/edge insertions and removals; returns the new store
+        version.  Additions are applied before removals, in one transaction."""
+        response = self.call(
+            "update",
+            nodes=nodes,
+            edges=edges,
+            remove_nodes=remove_nodes,
+            remove_edges=remove_edges,
+        )
+        return response["version"]
+
+    def explain(self, query, target="graphlog", **params):
+        """Trace one query end to end; returns the explain result dict.
+
+        The result carries ``trace`` (the span tree), ``text`` (rendered
+        ASCII), ``phases`` (top-level phase → ms) and per-relation counts.
+        Caches are bypassed on the server so the trace always covers
+        compilation and evaluation.
+        """
+        response = self.call("explain", query=query, target=target, **params)
+        return response["result"]
+
+    def profile(self, query, target="graphlog", **params):
+        """Like :meth:`explain` without the rendered ASCII tree."""
+        response = self.call("profile", query=query, target=target, **params)
+        return response["result"]
+
+    def checkpoint(self):
+        """Force a durability checkpoint on the server; returns its info
+        dict (``version``, ``path``, segments pruned, elapsed ms).  Fails
+        with :class:`~repro.errors.ProtocolError` when the server runs
+        without ``--data-dir``."""
+        return self.call("checkpoint")["result"]
+
+    def stats(self, include_histograms=None):
+        """The server's metrics/cache/store statistics snapshot."""
+        return self.call("stats", include_histograms=include_histograms)["result"]
+
+    def ping(self):
+        return self.call("ping")["result"]["pong"]
+
+
+class ServiceClient(ServiceOps):
     """One connection to a running :class:`~repro.service.server.ServiceServer`."""
 
     def __init__(
@@ -311,64 +384,6 @@ class ServiceClient:
 
     # ---------------------------------------------------------- operations
 
-    def graphlog(self, query, predicate=None, method=None, **limits):
-        """Evaluate a GraphLog DSL query; returns ``{predicate: set of rows}``."""
-        response = self.call(
-            "graphlog", query=query, predicate=predicate, method=method, **limits
-        )
-        return _relations(response)
-
-    def datalog(self, program, predicate=None, method=None, **limits):
-        """Evaluate a Datalog program; returns ``{predicate: set of rows}``."""
-        response = self.call(
-            "datalog", query=program, predicate=predicate, method=method, **limits
-        )
-        return _relations(response)
-
-    def rpq(self, regex, source=None, **limits):
-        """Evaluate a regular path query; returns a set of answer tuples."""
-        response = self.call("rpq", query=regex, source=source, **limits)
-        return _relations(response)["answers"]
-
-    def update(self, nodes=None, edges=None, remove_nodes=None, remove_edges=None):
-        """Commit node/edge insertions and removals; returns the new store
-        version.  Additions are applied before removals, in one transaction."""
-        response = self.call(
-            "update",
-            nodes=nodes,
-            edges=edges,
-            remove_nodes=remove_nodes,
-            remove_edges=remove_edges,
-        )
-        return response["version"]
-
-    def explain(self, query, target="graphlog", **params):
-        """Trace one query end to end; returns the explain result dict.
-
-        The result carries ``trace`` (the span tree), ``text`` (rendered
-        ASCII), ``phases`` (top-level phase → ms) and per-relation counts.
-        Caches are bypassed on the server so the trace always covers
-        compilation and evaluation.
-        """
-        response = self.call("explain", query=query, target=target, **params)
-        return response["result"]
-
-    def profile(self, query, target="graphlog", **params):
-        """Like :meth:`explain` without the rendered ASCII tree."""
-        response = self.call("profile", query=query, target=target, **params)
-        return response["result"]
-
-    def checkpoint(self):
-        """Force a durability checkpoint on the server; returns its info
-        dict (``version``, ``path``, segments pruned, elapsed ms).  Fails
-        with :class:`~repro.errors.ProtocolError` when the server runs
-        without ``--data-dir``."""
-        return self.call("checkpoint")["result"]
-
-    def stats(self, include_histograms=None):
-        """The server's metrics/cache/store statistics snapshot."""
-        return self.call("stats", include_histograms=include_histograms)["result"]
-
     def trace_get(self, trace_id):
         """The connected node's spans for *trace_id* (ring, slowlog
         fallback); see ``repro trace`` for the cross-node assembly."""
@@ -410,9 +425,6 @@ class ServiceClient:
         not a replica.  Returns the promotion document (``promoted_from``,
         ``applied_version``, ``epoch``)."""
         return self.call("promote")["result"]
-
-    def ping(self):
-        return self.call("ping")["result"]["pong"]
 
     # -------------------------------------------------------- subscriptions
 
@@ -512,12 +524,6 @@ class ServiceClient:
             except OSError:
                 pass
             sock.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *_exc):
-        self.close()
 
 
 class SubscriptionHandle:

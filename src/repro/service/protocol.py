@@ -185,17 +185,14 @@ def ok_response(
 
 
 def error_response(request_id, exc):
-    """Build the failure response for an exception."""
-    code = getattr(exc, "code", None) or "service_error"
-    return {
-        "id": request_id,
-        "ok": False,
-        "error": {
-            "code": code,
-            "kind": type(exc).__name__,
-            "message": str(exc),
-        },
+    """Build the failure response for an exception; an error another server
+    sent (re-raised by :func:`raise_for_error`) is relayed exactly as sent."""
+    error = getattr(exc, "wire_error", None) or {
+        "code": getattr(exc, "code", None) or "service_error",
+        "kind": type(exc).__name__,
+        "message": str(exc),
     }
+    return {"id": request_id, "ok": False, "error": error}
 
 
 def raise_for_error(response):
@@ -205,7 +202,8 @@ def raise_for_error(response):
     types the library raises locally: protocol violations, timeouts and
     size overruns map to their dedicated classes; evaluation errors
     (parse/safety/stratification/...) surface as :class:`ServiceError`
-    with the original class name in the message.
+    with the original class name in the message.  The exception keeps the
+    ``error`` object as ``wire_error``, which a router relays unchanged.
     """
     if response.get("ok"):
         return response
@@ -215,7 +213,9 @@ def raise_for_error(response):
     kind = error.get("kind")
     if kind and kind != code:
         message = f"{kind}: {message}"
-    raise _CODE_TO_EXCEPTION.get(code, ServiceError)(message)
+    exc = _CODE_TO_EXCEPTION.get(code, ServiceError)(message)
+    exc.wire_error = error
+    raise exc
 
 
 def rows_to_wire(rows):

@@ -10,7 +10,8 @@ Two layers, separable on purpose:
   speaks the JSON-lines protocol (:mod:`repro.service.protocol`),
   dispatches each request to a worker-thread pool, and enforces the
   per-request timeout.  Connections are handled concurrently; requests on
-  one connection are answered in order.
+  one connection are answered in order.  ``repro route`` serves its
+  :class:`~repro.replication.router.RouterServer` through this same loop.
 
 Budget semantics: ``timeout`` bounds wall-clock evaluation time (the worker
 thread finishes in the background after a timeout — results land in the
@@ -521,6 +522,14 @@ class QueryService:
             "result": {"unsubscribed": sub_id},
             "version": self.store.version,
         }
+
+    def drain(self, sink):
+        """Pop the push frames pending for one connection."""
+        return self.subs.drain(sink)
+
+    def drop_sink(self, sink):
+        """A connection closed: release the subscriptions it held."""
+        self.subs.drop_sink(sink)
 
     def promote(self):
         """Flip this replica into a writable primary under a fresh epoch.
@@ -1240,13 +1249,15 @@ class QueryService:
 
 class _ConnectionSink:
     """One connection's push outlet: commit threads poke it thread-safely,
-    the connection's sender task wakes and drains the subscription queues."""
+    the connection's sender task wakes and drains the subscription queues.
+    ``closed`` is set once the connection is gone, before ``drop_sink``."""
 
-    __slots__ = ("_loop", "event")
+    __slots__ = ("_loop", "event", "closed")
 
     def __init__(self, loop):
         self._loop = loop
         self.event = asyncio.Event()
+        self.closed = False
 
     def notify(self):
         try:
@@ -1256,7 +1267,9 @@ class _ConnectionSink:
 
 
 class ServiceServer:
-    """Asyncio JSON-lines TCP front for a :class:`QueryService`."""
+    """Asyncio JSON-lines TCP front for a :class:`QueryService`, or for any
+    object with its ``config``, ``metrics``, ``execute``, ``drain``,
+    ``drop_sink``, ``prometheus_text``, ``health`` and ``close``."""
 
     def __init__(self, service=None, store=None, config=None):
         self.config = config or (service.config if service else ServiceConfig())
@@ -1294,7 +1307,7 @@ class ServiceServer:
                 port=self.config.metrics_port,
             ).start()
             self.metrics_port = self._telemetry.port
-        applier = self.service.applier
+        applier = getattr(self.service, "applier", None)
         if applier is not None and not applier.running:
             applier.start()
         return self
@@ -1364,7 +1377,8 @@ class ServiceServer:
                 await sender
             except asyncio.CancelledError:
                 pass
-            self.service.subs.drop_sink(sink)
+            sink.closed = True
+            self.service.drop_sink(sink)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -1381,7 +1395,7 @@ class ServiceServer:
             while True:
                 await sink.event.wait()
                 sink.event.clear()
-                frames, disconnect = self.service.subs.drain(sink)
+                frames, disconnect = self.service.drain(sink)
                 for frame in frames:
                     writer.write(protocol.encode(frame))
                 if frames:
