@@ -4,7 +4,8 @@
 Boots ``repro serve --metrics-port 0`` as a real subprocess, drives a few
 requests through a :class:`ServiceClient`, scrapes ``/metrics``, lints
 every line of the exposition document against the text format, checks the
-required series are present, and verifies ``/healthz`` reports ok.
+required series are present (the inline-answer counter above zero after a
+repeated query), and verifies ``/healthz`` reports ok.
 
 Run from the repository root::
 
@@ -114,6 +115,13 @@ def main():
         for needle in REQUIRED:
             if needle not in body:
                 fail(f"required series missing from /metrics: {needle}")
+        # The repeated datalog query is a cache hit, answered on the event
+        # loop: the inline share must show it.
+        inline = re.search(r"^repro_requests_inline_total (\S+)$", body, re.M)
+        if inline is None:
+            fail("required series missing from /metrics: repro_requests_inline_total")
+        if not float(inline.group(1)) > 0:
+            fail(f"repro_requests_inline_total is {inline.group(1)} after a cache hit")
 
         health = urllib.request.urlopen(
             f"http://127.0.0.1:{metrics_port}/healthz", timeout=10

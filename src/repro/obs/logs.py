@@ -9,7 +9,7 @@ CLI entry point calls :func:`configure_logging`.
 
 Request correlation: the service assigns every wire request an ID (a short
 random run prefix plus a monotonically increasing counter — deliberately
-not ``uuid4`` per request, which would cost ~1µs on a ~12µs cache-hit path)
+not ``uuid4`` per request, which would cost ~1µs on a ~20µs cache hit)
 and stores it in a :mod:`contextvars` context variable.  Every log record
 emitted while the variable is set — from the server, the engine, DRed
 maintenance, or the WAL — is stamped with it by :class:`RequestIdFilter`,
@@ -17,7 +17,8 @@ so one ``grep`` over the JSON logs reconstructs a request's full story.
 
 Note that contextvars do **not** automatically propagate into
 ``loop.run_in_executor`` worker threads; the service sets the variable
-explicitly inside the worker closure (see ``service/server.py``).
+explicitly around the inline call of a hit answered on the event loop and
+inside the worker closure otherwise (see ``service/server.py``).
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ from repro.obs import context as trace_context
 from repro.obs import logs
 from repro.obs.metrics import HistogramData, HistogramMergeError, MetricFamily
 from repro.service.client import ServiceClient, ServiceOps
-from repro.service.metrics import MetricsRegistry
+from repro.service.metrics import MetricsRegistry, requests_total
 from repro.service.server import ServiceConfig, ServiceServer
 
 logger = logging.getLogger(__name__)
@@ -830,11 +830,7 @@ class RouterServer:
             entry["lag_versions"] = repl.get("lag_versions")
             metrics_doc = stats.get("metrics") or {}
             counters = metrics_doc.get("counters") or {}
-            entry["requests_total"] = sum(
-                value
-                for name, value in counters.items()
-                if name.startswith("requests.")
-            )
+            entry["requests_total"] = requests_total(counters)
             entry["in_flight"] = metrics_doc.get("in_flight")
             entry["latency"] = {
                 op: {k: v for k, v in lat.items() if k != "histogram"}

@@ -97,12 +97,17 @@ class ResultCache:
     def __len__(self):
         return len(self._entries)
 
-    def get(self, key, version):
-        """The cached value if present *and* current; counts hit or miss."""
+    def get(self, key, version, count_miss=True):
+        """The cached value if present *and* current; counts hit or miss.
+
+        With *count_miss* false a miss is not counted: the caller will
+        look the key up again and count that lookup instead.
+        """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None or entry.version != version:
-                self.misses += 1
+                if count_miss:
+                    self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1

@@ -13,7 +13,9 @@ request wastes the work that never changes between requests.  A
 The compiled plan is cached in a :class:`PreparedQueryCache` keyed by the
 query *fingerprint*: a SHA-256 over the op and the whitespace/comment
 normalized query text, so trivially reformatted queries share one plan.
-Plans are immutable after preparation and safe to evaluate concurrently.
+The text a plan was prepared from is also indexed verbatim, so repeating
+it exactly skips the normalization and the hash.  Plans are immutable
+after preparation and safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -219,6 +221,9 @@ class PreparedQueryCache:
             raise ValueError("plan cache capacity must be >= 1")
         self.capacity = capacity
         self._plans = OrderedDict()
+        #: ``(op, text) -> plan`` for the text each cached plan was
+        #: prepared from: one entry per plan, dropped with it.
+        self._texts = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -227,8 +232,18 @@ class PreparedQueryCache:
     def __len__(self):
         return len(self._plans)
 
-    def get(self, op, text):
-        """The cached plan for (op, text), preparing it on first sight."""
+    def get(self, op, text, prepare=True):
+        """The cached plan for (op, text), preparing it on first sight.
+
+        With *prepare* false an uncached query returns None, counted as
+        neither hit nor miss.
+        """
+        with self._lock:
+            plan = self._texts.get((op, text))
+            if plan is not None:
+                self._plans.move_to_end(plan.fingerprint)
+                self.hits += 1
+                return plan
         key = fingerprint(op, text)
         with self._lock:
             plan = self._plans.get(key)
@@ -236,22 +251,30 @@ class PreparedQueryCache:
                 self._plans.move_to_end(key)
                 self.hits += 1
                 return plan
+        if not prepare:
+            return None
         # Prepare outside the lock: compilation can be slow and must not
-        # serialize unrelated requests.  A racing duplicate just overwrites
-        # with an identical plan.
+        # serialize unrelated requests.  A racing duplicate keeps the plan
+        # that landed first.
         plan = PreparedQuery(op, text)
         with self._lock:
             self.misses += 1
+            first = self._plans.get(key)
+            if first is not None:
+                self._plans.move_to_end(key)
+                return first
             self._plans[key] = plan
-            self._plans.move_to_end(key)
+            self._texts[(op, text)] = plan
             while len(self._plans) > self.capacity:
-                self._plans.popitem(last=False)
+                _, evicted = self._plans.popitem(last=False)
+                del self._texts[(evicted.op, evicted.text)]
                 self.evictions += 1
         return plan
 
     def clear(self):
         with self._lock:
             self._plans.clear()
+            self._texts.clear()
 
     def stats(self):
         with self._lock:

@@ -97,10 +97,47 @@ _CODE_TO_EXCEPTION = {
 }
 
 
+class RawJSON:
+    """A value already serialized by :func:`encode_json`.
+
+    Placed as a message's ``result``, it is written verbatim by
+    :func:`encode`: a cached answer is serialized once, when it is cached,
+    not once per response that carries it.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data):
+        self.data = data
+
+
+def encode_json(value):
+    """The compact, key-sorted JSON bytes of one value (no newline)."""
+    return json.dumps(value, separators=(",", ":"), sort_keys=True).encode("utf-8")
+
+
 def encode(message):
-    """Serialize one protocol message to a newline-terminated bytes line."""
-    return (json.dumps(message, separators=(",", ":"), sort_keys=True) + "\n").encode(
-        "utf-8"
+    """Serialize one protocol message to a newline-terminated bytes line.
+
+    A :class:`RawJSON` ``result`` is spliced between the envelope fields
+    that sort before and after ``"result"``; the line is byte-identical to
+    encoding the decoded result in place.
+    """
+    result = message.get("result")
+    if type(result) is not RawJSON:
+        return encode_json(message) + b"\n"
+    head = encode_json({k: v for k, v in message.items() if k < "result"})
+    tail = encode_json({k: v for k, v in message.items() if k > "result"})
+    # head always holds "id" and "ok"; tail is "{}" when no field sorts
+    # after "result".
+    return b"".join(
+        (
+            head[:-1],
+            b',"result":',
+            result.data,
+            b"," + tail[1:] if len(tail) > 2 else b"}",
+            b"\n",
+        )
     )
 
 

@@ -7,15 +7,21 @@ Two layers, separable on purpose:
   registry, and executes one decoded request against the HAM store.  Tests
   and benchmarks drive it directly, in-process.
 - :class:`ServiceServer` is the network front: an asyncio TCP server that
-  speaks the JSON-lines protocol (:mod:`repro.service.protocol`),
-  dispatches each request to a worker-thread pool, and enforces the
-  per-request timeout.  Connections are handled concurrently; requests on
-  one connection are answered in order.  ``repro route`` serves its
+  speaks the JSON-lines protocol (:mod:`repro.service.protocol`) and
+  enforces the per-request timeout.  A query whose plan and result are
+  already cached and current is answered on the event loop itself, from
+  the answer's cached JSON bytes; every other request (misses, evaluation,
+  plan preparation, a ``min_version`` the store has not reached, sampled
+  traces, and all other ops) runs on a worker-thread pool.  Connections
+  are handled concurrently; requests on one connection are answered in
+  order.  ``repro route`` serves its
   :class:`~repro.replication.router.RouterServer` through this same loop.
 
-Budget semantics: ``timeout`` bounds wall-clock evaluation time (the worker
-thread finishes in the background after a timeout — results land in the
-cache for the next attempt, but the client gets ``QueryTimeout``);
+Budget semantics: ``timeout`` bounds wall-clock time.  A worker that
+overruns it finishes in the background (results land in the cache for the
+next attempt) while the client gets ``QueryTimeout``; an answer from the
+loop that took longer than ``timeout`` is replaced by ``QueryTimeout`` the
+same way, so ``timeout: 0`` always answers ``timeout``.
 ``max_rows``/``max_bytes`` bound the answer size and are re-checked on
 cache hits so per-request overrides behave identically hot or cold.
 """
@@ -45,7 +51,7 @@ from repro.obs.metrics import MetricFamily
 from repro.obs.slowlog import SlowQueryLog
 from repro.service import protocol
 from repro.service.cache import ResultCache, result_key
-from repro.service.metrics import MetricsRegistry
+from repro.service.metrics import INLINE_REQUESTS, MetricsRegistry
 from repro.service.prepared import PreparedQuery, PreparedQueryCache
 
 logger = logging.getLogger(__name__)
@@ -53,6 +59,27 @@ logger = logging.getLogger(__name__)
 _QUERY_OPS = ("graphlog", "datalog", "rpq")
 #: Request fields that parameterize evaluation (and the result-cache key).
 _PARAM_FIELDS = ("predicate", "method", "source")
+
+
+class HandOff(Exception):
+    """An inline :meth:`QueryService.execute` cannot answer from the caches.
+
+    Nothing about the attempt was recorded.  The exception carries what the
+    attempt already decided, so the worker's run (``execute(...,
+    resume=handoff)``) neither looks the plan up nor samples a second time.
+    """
+
+    def __init__(self, plan=None):
+        super().__init__("request needs a worker")
+        #: The cached plan, when the attempt got that far.
+        self.plan = plan
+        #: The request's trace context (None: not traced); set by execute.
+        self.context = None
+
+
+def _line_size(raw):
+    """The byte budget's measure of an answer: its newline-terminated line."""
+    return len(raw.data) + 1
 
 
 class ServiceConfig:
@@ -318,13 +345,23 @@ class QueryService:
 
     # ------------------------------------------------------------- execute
 
-    def execute(self, message, sink=None):
+    def execute(self, message, sink=None, inline=False, resume=None):
         """Execute one decoded request; returns the ``ok`` response body.
 
         Raises the service error taxonomy on failure; the caller (server
         or test) turns exceptions into failure responses.  *sink* is the
         connection's push-frame outlet (see :mod:`repro.subs`); only the
-        ``subscribe``/``unsubscribe`` ops use it.
+        ``subscribe``/``unsubscribe`` ops use it.  A query's body carries
+        the decoded ``result`` and, under ``result_json``, the same answer
+        as :class:`~repro.service.protocol.RawJSON` for the wire.
+
+        *inline* asks for an answer from the caches alone, as the event
+        loop needs: a query whose plan and result are cached and current is
+        answered as usual, and anything else raises :class:`HandOff`
+        before it prepares a plan, waits for ``min_version``, evaluates or
+        traces, with nothing recorded.  The caught :class:`HandOff`,
+        passed back as *resume* from a worker thread, runs the request in
+        full.
 
         Distributed tracing happens here: a request carrying a ``trace``
         context is *adopted* (its trace id becomes the correlation id and
@@ -335,7 +372,6 @@ class QueryService:
         """
         op = message.get("op")
         started = time.perf_counter()
-        self.metrics.request_started()
         phases = []
         # Slow-request context: the op handlers drop the version, cache
         # disposition, fingerprint and (when tracing ran) the span tree in
@@ -344,57 +380,79 @@ class QueryService:
         rid_token = None
         tc_token = None
         tc = trace_context.current()
+        if tc is None and resume is not None:
+            tc = resume.context
         if tc is None:
             wire = message.get("trace")
             if wire is not None:
                 tc = trace_context.TraceContext.from_wire(wire)
         # Every request runs under a correlation ID; the network server
-        # binds one in the worker thread (adopting the trace id when the
+        # binds one before calling in (adopting the trace id when the
         # request carries a context), so this only assigns for direct
         # in-process callers (tests, benchmarks, the shell).
         if logs.get_request_id() is None:
             rid_token = logs.set_request_id(
                 tc.trace_id if tc is not None else logs.new_request_id()
             )
-        if tc is None and self.sampler.enabled and self.sampler.sample():
+        if (
+            tc is None
+            and resume is None
+            and self.sampler.enabled
+            and self.sampler.sample()
+        ):
             # Locally-originated sampled trace: the request id doubles as
             # the trace id, so logs and the trace share one handle.
             tc = trace_context.TraceContext(logs.get_request_id(), None, True)
         if tc is not None:
             tc_token = trace_context.set_current(tc)
+        self.metrics.request_started()
         tr = None
+        recorded = True
         try:
+            if inline and (op not in _QUERY_OPS or (tc is not None and tc.sampled)):
+                raise HandOff()
             if tc is not None and tc.sampled:
                 with obs.tracing(
                     "request", context=tc, op=op, node=self.node_id
                 ) as tr:
-                    body = self._dispatch(op, message, phases, ctx, sink)
+                    body = self._dispatch(op, message, phases, ctx, sink, inline, resume)
             else:
-                body = self._dispatch(op, message, phases, ctx, sink)
+                body = self._dispatch(op, message, phases, ctx, sink, inline, resume)
             if tc is not None:
                 body.setdefault("trace_id", tc.trace_id)
             return body
+        except HandOff as handoff:
+            # The worker's run of this request records it, once.
+            handoff.context = tc
+            recorded = False
+            self.metrics.request_finished()
+            raise
         finally:
-            elapsed = time.perf_counter() - started
-            elapsed_ms = elapsed * 1000.0
-            self.metrics.request_completed(op, elapsed, phases)
-            trace_id = tc.trace_id if tc is not None else logs.get_request_id()
-            if tr is not None:
-                ctx["trace"] = tr.root
-                self._record_trace(op, elapsed_ms, ctx, trace_id)
-            if self.slowlog.should_record(elapsed_ms):
-                self._record_slow(op, elapsed_ms, ctx, trace_id)
-                if tr is None and self.span_sink is not None and ctx.get("trace") is not None:
-                    # Always-sample-on-slow: head sampling skipped this
-                    # request, but the slowlog armed a trace on the miss
-                    # path and it crossed the threshold — export it.
-                    self._export_slow_trace(op, elapsed_ms, ctx, trace_id)
+            if recorded:
+                self._record_request(op, started, phases, ctx, tc, tr)
             if tc_token is not None:
                 trace_context.reset_current(tc_token)
             if rid_token is not None:
                 logs.reset_request_id(rid_token)
 
-    def _dispatch(self, op, message, phases, ctx, sink):
+    def _record_request(self, op, started, phases, ctx, tc, tr):
+        """End-of-request bookkeeping: metrics, sampled trace, slowlog."""
+        elapsed = time.perf_counter() - started
+        elapsed_ms = elapsed * 1000.0
+        self.metrics.request_completed(op, elapsed, phases)
+        trace_id = tc.trace_id if tc is not None else logs.get_request_id()
+        if tr is not None:
+            ctx["trace"] = tr.root
+            self._record_trace(op, elapsed_ms, ctx, trace_id)
+        if self.slowlog.should_record(elapsed_ms):
+            self._record_slow(op, elapsed_ms, ctx, trace_id)
+            if tr is None and self.span_sink is not None and ctx.get("trace") is not None:
+                # Always-sample-on-slow: head sampling skipped this
+                # request, but the slowlog armed a trace on the miss
+                # path and it crossed the threshold — export it.
+                self._export_slow_trace(op, elapsed_ms, ctx, trace_id)
+
+    def _dispatch(self, op, message, phases, ctx, sink, inline=False, resume=None):
         """Route one decoded request to its op handler."""
         if op == "ping":
             return {"result": {"pong": True}, "version": self.store.version}
@@ -412,7 +470,7 @@ class QueryService:
         if op == "update":
             return self._execute_update(message, ctx)
         if op in _QUERY_OPS:
-            return self._execute_query(op, message, phases, ctx)
+            return self._execute_query(op, message, phases, ctx, inline, resume)
         if op in ("explain", "profile"):
             return self._execute_explain(message)
         if op == "checkpoint":
@@ -577,19 +635,24 @@ class QueryService:
             )
             return dict(self._promotion)
 
-    def _await_min_version(self, message):
+    def _await_min_version(self, message, wait=True):
         """Session-consistency gate: a read carrying ``min_version`` waits
         (bounded) for this store to reach it, else fails ``replica_stale``
-        so a router can redirect — read-your-writes through replicas."""
+        so a router can redirect — read-your-writes through replicas.
+
+        Returns whether the store has reached it; with *wait* false a store
+        behind it answers False at once instead of waiting."""
         min_version = message.get("min_version")
         if min_version is None:
-            return
+            return True
         if isinstance(min_version, bool) or not isinstance(min_version, int):
             raise ProtocolError(
                 f"'min_version' must be a non-negative integer, got {min_version!r}"
             )
         if min_version <= self.store.version:
-            return
+            return True
+        if not wait:
+            return False
         wait_ms = self.config.version_wait_ms or 0
         if not self.store.wait_for_version(min_version, wait_ms / 1000.0):
             self.metrics.incr("replication.stale_reads")
@@ -597,6 +660,7 @@ class QueryService:
                 f"store is at version {self.store.version}, read requires "
                 f"{min_version} (waited {wait_ms}ms)"
             )
+        return True
 
     def _request_params(self, message):
         """Evaluation parameters for one request, backend default applied.
@@ -611,11 +675,12 @@ class QueryService:
             params["method"] = self.config.engine
         return params
 
-    def _execute_query(self, op, message, phases, ctx):
+    def _execute_query(self, op, message, phases, ctx, inline=False, resume=None):
         text = message.get("query")
         if not isinstance(text, str) or not text.strip():
             raise ProtocolError(f"op {op!r} needs a non-empty 'query' string")
-        self._await_min_version(message)
+        if not self._await_min_version(message, wait=not inline):
+            raise HandOff()
         params = self._request_params(message)
         max_rows = message.get("max_rows", self.config.max_rows)
         max_bytes = message.get("max_bytes", self.config.max_bytes)
@@ -624,26 +689,43 @@ class QueryService:
         # one batch with the request's closing bookkeeping — the hot path
         # pays perf_counter reads here, never extra lock acquisitions.
         t0 = time.perf_counter()
-        plan = self.plans.get(op, text)
+        if resume is not None and resume.plan is not None:
+            plan = resume.plan
+        else:
+            plan = self.plans.get(op, text, prepare=not inline)
+            if plan is None:
+                raise HandOff()
         t1 = time.perf_counter()
-        version, graph = self.store.snapshot_versioned()
+        # A hit needs only the committed version, read without the store
+        # lock (a commit holds it across its WAL append and fsync); the
+        # graph is taken, under the lock, on a miss.
+        version = self.store.version
         key = result_key(plan.fingerprint, params)
         ctx["version"] = version
         ctx["fingerprint"] = plan.fingerprint
 
-        cached = self.results.get(key, version)
+        cached = self.results.get(key, version, count_miss=not inline)
         t2 = time.perf_counter()
+        if cached is None and inline:
+            raise HandOff(plan)
         phases.append(("plan", t1 - t0))
         phases.append(("cache_lookup", t2 - t1))
         if cached is not None:
-            payload, encoded_size = cached
+            payload, raw = cached
             self.metrics.incr("result_cache.hits")
             ctx["cache"] = "hit"
-            self._check_budgets(payload["count"], encoded_size, max_rows, max_bytes)
-            return {"result": payload, "version": version, "cache": "hit"}
+            self._check_budgets(payload["count"], _line_size(raw), max_rows, max_bytes)
+            return {
+                "result": payload,
+                "result_json": raw,
+                "version": version,
+                "cache": "hit",
+            }
 
         self.metrics.incr("result_cache.misses")
         ctx["cache"] = "miss"
+        version, graph = self.store.snapshot_versioned()
+        ctx["version"] = version
         edb = self._edb_for(version, graph)
         active = obs.tracer()
         if active.enabled:
@@ -657,7 +739,7 @@ class QueryService:
         elif self.slowlog.enabled:
             # Only the miss path is traced: a cache hit does no evaluation
             # work, so it cannot be meaningfully slow, and tracing it would
-            # tax the ~12µs hot path the result cache exists to protect.
+            # tax every hit the result cache exists to make cheap.
             with obs.tracing(op, version=version, fingerprint=plan.fingerprint) as tr:
                 with tr.span("evaluate"):
                     relations = plan.evaluate(graph, edb, params)
@@ -672,12 +754,19 @@ class QueryService:
             },
             "count": total,
         }
-        encoded_size = len(protocol.encode(payload))
+        # Encoded once, here: the bytes are cached with the payload and
+        # spliced into this and every later response (protocol.encode).
+        raw = protocol.RawJSON(protocol.encode_json(payload))
         phases.append(("evaluate", t3 - t2))
         phases.append(("encode", time.perf_counter() - t3))
-        self._check_budgets(total, encoded_size, max_rows, max_bytes)
-        self.results.put(key, (payload, encoded_size), version, plan.footprint)
-        return {"result": payload, "version": version, "cache": "miss"}
+        self._check_budgets(total, _line_size(raw), max_rows, max_bytes)
+        self.results.put(key, (payload, raw), version, plan.footprint)
+        return {
+            "result": payload,
+            "result_json": raw,
+            "version": version,
+            "cache": "miss",
+        }
 
     def _execute_explain(self, message):
         """Run a query under full tracing; returns the span tree, not rows.
@@ -1279,6 +1368,9 @@ class ServiceServer:
         self._thread = None
         self._loop = None
         self._telemetry = None
+        #: Cached queries are answered on the event loop (QueryService
+        #: only; a router's every request is a backend round trip).
+        self._inline = isinstance(self.service, QueryService)
         self.host = self.config.host
         self.port = self.config.port
         #: Bound telemetry port once started (None when not configured).
@@ -1415,49 +1507,51 @@ class ServiceServer:
             message = protocol.decode_request(line)
             request_id = message.get("id")
             timeout = message.get("timeout", self.config.timeout)
-            loop = asyncio.get_running_loop()
-            submitted = time.perf_counter()
-            # The correlation ID is minted on the event loop but must be
-            # bound inside the worker closure: contextvars do not propagate
-            # into run_in_executor threads on their own.  A request carrying
-            # a trace context is *adopted*: its trace id becomes the
-            # correlation id instead of a freshly minted one, so one grep
-            # follows the request across every node it touched.
+            # The correlation ID is minted on the event loop and bound
+            # around execute() — inline, or inside the worker closure, since
+            # contextvars do not propagate into run_in_executor threads on
+            # their own.  A request carrying a trace context is *adopted*:
+            # its trace id becomes the correlation id instead of a freshly
+            # minted one, so one grep follows the request across every node
+            # it touched.
             trace_doc = message.get("trace")
             if isinstance(trace_doc, dict) and trace_doc.get("trace_id"):
                 rid = trace_doc["trace_id"]
             else:
                 rid = logs.new_request_id()
-
-            def run():
+            resume = None
+            inline = self._inline and message["op"] in _QUERY_OPS
+            if inline:
                 token = logs.set_request_id(rid)
                 try:
-                    # Time spent queued behind busy workers, measured from
-                    # the worker thread the moment it picks the request up.
-                    self.service.metrics.observe_phase(
-                        "queue_wait", time.perf_counter() - submitted
-                    )
-                    return self.service.execute(message, sink=sink)
+                    body = self.service.execute(message, sink=sink, inline=True)
+                except HandOff as handoff:
+                    resume = handoff
+                    inline = False
                 finally:
                     logs.reset_request_id(token)
-
-            future = loop.run_in_executor(self._executor, run)
-            try:
-                body = await asyncio.wait_for(future, timeout)
-            except asyncio.TimeoutError:
+                    if inline:  # answered, or failed, on the loop
+                        self.service.metrics.incr(INLINE_REQUESTS)
+            if not inline:
+                body = await self._run_on_worker(message, sink, rid, timeout, resume)
+            elif timeout is not None and time.perf_counter() - started >= timeout:
                 self.service.metrics.incr("errors.timeout")
-                raise QueryTimeout(
-                    f"request exceeded its {timeout}s deadline"
-                ) from None
+                raise QueryTimeout(f"request exceeded its {timeout}s deadline")
             elapsed_ms = (time.perf_counter() - started) * 1000.0
-            return protocol.ok_response(
+            response = protocol.ok_response(
                 request_id,
-                body["result"],
+                body.get("result_json", body["result"]),
                 version=body.get("version"),
                 elapsed_ms=elapsed_ms,
                 cache=body.get("cache"),
                 trace_id=body.get("trace_id"),
             )
+            if inline:
+                # An inline answer never awaited: yield once, so hits
+                # pipelined on one connection cannot starve the others or
+                # this connection's push frames.
+                await asyncio.sleep(0)
+            return response
         except ReproError as exc:
             if not isinstance(exc, QueryTimeout):
                 self.service.metrics.incr(f"errors.{getattr(exc, 'code', 'evaluation')}")
@@ -1465,6 +1559,31 @@ class ServiceServer:
         except Exception as exc:  # noqa: BLE001 — a serving loop must not die
             self.service.metrics.incr("errors.internal")
             return protocol.error_response(request_id, exc)
+
+    async def _run_on_worker(self, message, sink, rid, timeout, resume):
+        """Execute one request on the worker pool, bounded by *timeout*."""
+        submitted = time.perf_counter()
+
+        def run():
+            token = logs.set_request_id(rid)
+            try:
+                # Time spent queued behind busy workers, measured from
+                # the worker thread the moment it picks the request up.
+                self.service.metrics.observe_phase(
+                    "queue_wait", time.perf_counter() - submitted
+                )
+                if resume is None:  # always, for a RouterServer
+                    return self.service.execute(message, sink=sink)
+                return self.service.execute(message, sink=sink, resume=resume)
+            finally:
+                logs.reset_request_id(token)
+
+        future = asyncio.get_running_loop().run_in_executor(self._executor, run)
+        try:
+            return await asyncio.wait_for(future, timeout)
+        except asyncio.TimeoutError:
+            self.service.metrics.incr("errors.timeout")
+            raise QueryTimeout(f"request exceeded its {timeout}s deadline") from None
 
     # ----------------------------------------------------------- threading
 

@@ -18,7 +18,7 @@ from repro.graphs.bridge import graph_from_database
 from repro.ham.store import HAMStore
 from repro.service.cache import ResultCache, result_key
 from repro.service.client import ServiceClient
-from repro.service.metrics import MetricsRegistry, percentile
+from repro.service.metrics import MetricsRegistry
 from repro.service.prepared import PreparedQueryCache, fingerprint, normalize
 from repro.service.server import QueryService, ServiceConfig, ServiceServer
 from repro.service import protocol
@@ -88,6 +88,47 @@ class TestPrepared:
         assert cache.stats()["evictions"] == 1
         cache.get("rpq", "a")
         assert cache.stats()["hits"] == 2
+
+    def test_plan_cache_exact_text_skips_the_fingerprint(self, monkeypatch):
+        from repro.service import prepared
+
+        cache = PreparedQueryCache(capacity=2)
+        first = cache.get("datalog", CONN_PROGRAM)
+        hashed = []
+        real = prepared.fingerprint
+        monkeypatch.setattr(
+            prepared, "fingerprint", lambda op, text: hashed.append(text) or real(op, text)
+        )
+        assert cache.get("datalog", CONN_PROGRAM) is first
+        assert hashed == []
+        # A reformatted variant still shares the plan, through the hash.
+        variant = "conn(X, Y) :-\n  from(F, X), % origin\n  to(F, Y)."
+        assert cache.get("datalog", variant) is first
+        assert hashed == [variant]
+        assert cache.get("datalog", variant, prepare=False) is first
+        # An uncached query without prepare is neither hit nor miss.
+        assert cache.get("rpq", "a", prepare=False) is None
+        assert cache.stats() == {
+            "size": 1, "capacity": 2, "hits": 3, "misses": 1, "evictions": 0,
+        }
+        # Eviction drops the exact-text entry with its plan.
+        cache.get("rpq", "a")
+        cache.get("rpq", "b")
+        assert cache.stats()["evictions"] == 1
+        again = cache.get("datalog", CONN_PROGRAM)
+        assert again is not first
+        assert cache.stats()["misses"] == 4
+
+    def test_reformatted_queries_share_one_result_entry(self):
+        service = QueryService(store=flights_store())
+        try:
+            variant = "conn(X, Y) :-   from(F, X),\n to(F, Y).  % same query"
+            assert service.execute({"op": "datalog", "query": CONN_PROGRAM})["cache"] == "miss"
+            assert service.execute({"op": "datalog", "query": variant})["cache"] == "hit"
+            assert len(service.results) == 1
+            assert len(service.plans) == 1
+        finally:
+            service.close()
 
     def test_unsafe_datalog_rejected_at_prepare_time(self):
         from repro.errors import SafetyError
@@ -200,13 +241,6 @@ def slow_server():
 
 
 class TestMetrics:
-    def test_percentile(self):
-        assert percentile([], 0.5) is None
-        assert percentile([7.0], 0.95) == 7.0
-        samples = list(range(1, 101))
-        assert percentile(samples, 0.50) == 50
-        assert percentile(samples, 0.95) == 95
-
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.incr("requests.rpq")
